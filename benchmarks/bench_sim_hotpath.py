@@ -1,16 +1,12 @@
-"""Timing-simulator hot path: fast and vector systems vs reference.
+"""Timing-simulator hot path: fast system vs reference.
 
 Measures single-process simulator throughput (warp-insts/sec) of the
 fast system — compact engine (trace interning + heap pool + segment
-batching) on the batched memory front end — and of the vector system
-(compact engine on the array-backed ``vector`` front end) against the
-pre-overhaul reference system (per-instruction reference engine on the
-per-transaction reference memory front end), plus the fast system with
-the L2 organized as address-sliced shards (``sharded_vs_fast`` — the
-single-process cost of the partitioned organization, DESIGN.md §12),
-asserts all four produce bit-identical ``LaunchResult``\\ s (memory
-statistics included), and records everything to ``BENCH_sim.json`` at
-the repo root.
+batching) on the batched memory front end — against the pre-overhaul
+reference system (per-instruction reference engine on the
+per-transaction reference memory front end), asserts both produce
+bit-identical ``LaunchResult``\\ s (memory statistics included), and
+records everything to ``BENCH_sim.json`` at the repo root.
 
 Methodology — every choice here exists to make the ratio mean
 "simulator speed" and nothing else:
@@ -96,13 +92,7 @@ def _materialize(launch):
     return launch
 
 
-#: Shard count for the sharded-L2 system row (power of two).
-SHARDS = int(os.environ.get("REPRO_BENCH_SIM_SHARDS", "4"))
-
-
 def _fingerprint(result):
-    # Shard-local bookkeeping (probe balance) exists only under the
-    # sharded organization; everything the machine observes must match.
     return (
         result.issued_warp_insts,
         result.wall_cycles,
@@ -110,99 +100,51 @@ def _fingerprint(result):
         tuple(result.per_sm_busy_cycles),
         result.skipped_warp_insts,
         result.extra_cycles,
-        tuple(sorted(
-            (k, v) for k, v in result.mem_stats.items()
-            if not k.startswith("l2_shard")
-        )),
+        tuple(sorted(result.mem_stats.items())),
     )
 
 
 def bench_launch(launch, reps: int = REPS, gpu: GPUConfig | None = None):
-    """Paired-rep comparison of the fast, vector and sharded-L2 systems
-    against the pre-overhaul reference on one launch; returns the
-    per-launch record (asserts bit-identical results, memory statistics
-    included)."""
+    """Paired-rep comparison of the fast system against the pre-overhaul
+    reference on one launch; returns the per-launch record (asserts
+    bit-identical results, memory statistics included)."""
     gpu = gpu or GPUConfig()
     ref_sim = GPUSimulator(gpu, engine="reference", mem_front_end="reference")
     compact_sim = GPUSimulator(gpu, engine="compact", mem_front_end="fast")
-    vector_sim = GPUSimulator(gpu, engine="compact", mem_front_end="vector")
-    shard_sim = GPUSimulator(
-        gpu.with_(l2_shards=SHARDS), engine="compact", mem_front_end="fast"
-    )
     ref_res = ref_sim.run_launch(launch)  # warm-up (untimed)
     compact_res = compact_sim.run_launch(launch)
-    vector_res = vector_sim.run_launch(launch)
-    shard_res = shard_sim.run_launch(launch)
     assert _fingerprint(ref_res) == _fingerprint(compact_res)
-    assert _fingerprint(ref_res) == _fingerprint(vector_res)
-    assert _fingerprint(ref_res) == _fingerprint(shard_res)
 
     ratios = []
-    vec_ratios = []
-    vec_vs_fast = []
-    shard_vs_fast = []
-    best_ref = best_compact = best_vector = best_shard = float("inf")
-    # Each rep times all four systems back to back, with the order
-    # rotated so slow host drift never consistently favours one side.
-    orders = (
-        ("ref", "fast", "vec", "shard"),
-        ("shard", "vec", "ref", "fast"),
-        ("fast", "shard", "vec", "ref"),
-        ("vec", "ref", "shard", "fast"),
-    )
-    sims = {
-        "ref": ref_sim, "fast": compact_sim, "vec": vector_sim,
-        "shard": shard_sim,
-    }
+    best_ref = best_compact = float("inf")
+    # Each rep times both systems back to back, with the order
+    # alternating so slow host drift never consistently favours one side.
+    sims = {"ref": ref_sim, "fast": compact_sim}
     for rep in range(reps):
         seconds = {}
         results = {}
-        for system in orders[rep % len(orders)]:
+        for system in (("ref", "fast"), ("fast", "ref"))[rep % 2]:
             t0 = time.perf_counter()
             results[system] = sims[system].run_launch(launch)
             seconds[system] = time.perf_counter() - t0
         ref_res = results["ref"]
         compact_res = results["fast"]
-        vector_res = results["vec"]
-        shard_res = results["shard"]
         assert _fingerprint(ref_res) == _fingerprint(compact_res)
-        assert _fingerprint(ref_res) == _fingerprint(vector_res)
-        assert _fingerprint(ref_res) == _fingerprint(shard_res)
         ratios.append(seconds["ref"] / seconds["fast"])
-        vec_ratios.append(seconds["ref"] / seconds["vec"])
-        vec_vs_fast.append(seconds["fast"] / seconds["vec"])
-        shard_vs_fast.append(seconds["fast"] / seconds["shard"])
         best_ref = min(best_ref, seconds["ref"])
         best_compact = min(best_compact, seconds["fast"])
-        best_vector = min(best_vector, seconds["vec"])
-        best_shard = min(best_shard, seconds["shard"])
 
     insts = ref_res.issued_warp_insts
     counters = compact_res.counters
-    vec_counters = vector_res.counters
     mem_stats = compact_res.mem_stats
-    shard_stats = shard_res.mem_stats
     mem_insts = max(1, counters.mem_insts)
     return {
         "warp_insts": insts,
         "reference_seconds": round(best_ref, 4),
         "compact_seconds": round(best_compact, 4),
-        "vector_seconds": round(best_vector, 4),
-        "sharded_seconds": round(best_shard, 4),
         "reference_ips": round(insts / best_ref),
         "compact_ips": round(insts / best_compact),
-        "vector_ips": round(insts / best_vector),
-        "sharded_ips": round(insts / best_shard),
         "speedup": round(median(ratios), 3),
-        "vector_speedup": round(median(vec_ratios), 3),
-        "vector_vs_fast": round(median(vec_vs_fast), 3),
-        "shards": SHARDS,
-        # Single-process cost of the sharded organization relative to
-        # the unified fast path (shard dispatch is pure bookkeeping
-        # here; the organization exists for the per-shard state the
-        # parallel modes partition).
-        "sharded_vs_fast": round(median(shard_vs_fast), 3),
-        "l2_shard_imbalance": round(shard_stats["l2_shard_imbalance"], 4),
         "identical_results": True,
         "segment_insts_pct": round(
             100.0 * counters.segment_insts / max(1, insts), 2
@@ -230,7 +172,6 @@ def bench_launch(launch, reps: int = REPS, gpu: GPUConfig | None = None):
             "batch_l1_hits": counters.mem_batch_l1_hits,
             "batch_l2_hits": counters.mem_batch_l2_hits,
             "dedup_txns": counters.mem_dedup_txns,
-            "vector_drains": vec_counters.mem_vector_drains,
         },
     }
 
@@ -249,8 +190,6 @@ def test_sim_hotpath_throughput():
             f"{rec['warp_insts']:,}",
             f"{rec['compact_ips']:,}",
             f"{rec['speedup']:.2f}x",
-            f"{rec['vector_speedup']:.2f}x",
-            f"{rec['sharded_vs_fast']:.2f}x",
             f"{rec['mem']['l1_hit_rate']:.0%}",
             f"{rec['mem']['dram_row_hit_rate']:.0%}",
             f"{rec['mem']['batched_insts_pct']:.0f}%",
@@ -260,27 +199,22 @@ def test_sim_hotpath_throughput():
         "method": (
             "pre-materialized blocks, warm engines; reference = "
             "per-instruction engine + per-transaction memory front end "
-            "(the pre-overhaul system); speedup / vector_speedup = "
-            "median of per-rep ratios against the fast (compact+fast) "
-            f"and vector (compact+vector) systems over {REPS} "
-            "order-rotating paired reps (robust to clock drift); "
-            "sharded_vs_fast = the fast system with the L2 organized "
-            f"as {SHARDS} address-sliced shards, same discipline; "
-            "throughput = issued warp insts / best rep seconds; "
+            "(the pre-overhaul system); speedup = median of per-rep "
+            "ratios against the fast (compact+fast) system over "
+            f"{REPS} order-alternating paired reps (robust to clock "
+            "drift); throughput = issued warp insts / best rep seconds; "
             "results asserted bit-identical (memory statistics "
             "included) every rep"
         ),
         "reps": REPS,
         "cpus": os.cpu_count(),
-        "shards": SHARDS,
         "kernels": records,
         "best_speedup": max(r["speedup"] for r in records),
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     emit(render_table(
         ["kernel", "warp insts", "compact insts/s", "fast spd",
-         "vector spd", "shard ovh", "L1 hit", "DRAM row hit",
-         "batched mem"],
+         "L1 hit", "DRAM row hit", "batched mem"],
         rows,
         title=f"Simulator hot-path throughput (scale={SCALE}, "
               f"median of {REPS} paired reps)",
@@ -290,25 +224,6 @@ def test_sim_hotpath_throughput():
         assert rec["speedup"] > 1.0, (
             f"{rec['kernel']}: fast system slower than reference "
             f"({rec['speedup']:.2f}x)"
-        )
-        # The vector front end trades a bounded constant factor against
-        # the fast path on warp-sized traffic (ring bookkeeping costs
-        # interpreted bytecode that OrderedDict does in C; the NumPy
-        # crossover sits above warp size — measured, DESIGN.md §11), so
-        # the honest gate is "never materially slower than the
-        # reference system", not a speedup floor.
-        assert rec["vector_speedup"] > 0.8, (
-            f"{rec['kernel']}: vector system fell below the reference "
-            f"system ({rec['vector_speedup']:.2f}x)"
-        )
-        # The sharded organization routes every L2 probe through the
-        # shard dispatch instead of the inlined unified path — a
-        # bounded single-process cost (it exists for the partitioned
-        # state, not for speed); the gate catches it becoming
-        # catastrophic, not non-zero.
-        assert rec["sharded_vs_fast"] > 0.5, (
-            f"{rec['kernel']}: sharded L2 more than doubled the fast "
-            f"system's runtime ({rec['sharded_vs_fast']:.2f}x)"
         )
 
 

@@ -276,7 +276,7 @@ def cmd_cache(args: argparse.Namespace) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> None:
     from repro.config import GPUConfig
-    from repro.sim import GPUSimulator, simulate_sm_groups
+    from repro.sim import GPUSimulator
     from repro.workloads import get_workload
 
     kernel = get_workload(args.kernel, scale=args.scale, seed=args.seed)
@@ -291,17 +291,9 @@ def cmd_simulate(args: argparse.Namespace) -> None:
             launch.resize_block_memo(args.block_memo or launch.num_blocks)
         except ValueError as exc:
             raise SystemExit(str(exc)) from exc
-    try:
-        gpu = GPUConfig(l2_shards=args.l2_shards)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
-
-    if args.sm_groups > 1:
-        _simulate_sm_groups_cmd(args, launch, gpu, simulate_sm_groups)
-        return
 
     sim = GPUSimulator(
-        gpu, engine=args.engine, mem_front_end=args.mem_front_end
+        GPUConfig(), engine=args.engine, mem_front_end=args.mem_front_end
     )
     result = sim.run_launch(launch)
     ipc = (
@@ -333,60 +325,9 @@ def cmd_simulate(args: argparse.Namespace) -> None:
             ("DRAM mean queue delay",
              f"{m['dram_mean_queue_delay']:.1f} cycles"),
         ])
-        if "l2_shards" in m:
-            rows.extend([
-                ("L2 shards", str(m["l2_shards"])),
-                ("L2 shard probes",
-                 ", ".join(f"{p:,}" for p in m["l2_shard_probes"])),
-                ("L2 shard imbalance", f"{m['l2_shard_imbalance']:.2%}"),
-            ])
     print(render_table(
         ["field", "value"], rows,
         title=f"Timing simulation — {args.kernel} launch {args.launch}",
-    ))
-
-
-def _simulate_sm_groups_cmd(args, launch, gpu, simulate_sm_groups) -> None:
-    """``repro simulate --sm-groups N``: bounded-skew SM-group mode with
-    the measured IPC skew against the exact serial engine printed
-    alongside the recomposed result (DESIGN.md §12)."""
-    try:
-        run = simulate_sm_groups(
-            launch, gpu, sm_groups=args.sm_groups,
-            engine=args.engine, mem_front_end=args.mem_front_end,
-            exec_config=_exec_config(args),
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
-    rows = [
-        ("kernel", args.kernel),
-        ("launch", str(args.launch)),
-        ("engine", args.engine),
-        ("memory front end", args.mem_front_end),
-        ("SM groups", str(run.sm_groups)),
-        ("group fan-out", f"{run.exec_meta.get('path', '?')} "
-                          f"({run.exec_meta.get('reason') or 'pool'})"),
-        ("issued warp insts", f"{run.issued_warp_insts:,}"),
-        ("wall cycles (max over groups)", f"{run.wall_cycles:,}"),
-        ("warp IPC (grouped)", f"{run.machine_ipc:.3f}"),
-        ("warp IPC (exact serial)",
-         f"{run.serial_ipc:.3f}" if run.serial_ipc is not None else "n/a"),
-        ("IPC skew vs serial",
-         f"{run.ipc_skew:.4%}" if run.ipc_skew is not None
-         else "unmeasured"),
-    ]
-    for sm_ids, r in zip(run.group_sm_ids, run.group_results):
-        label = f"group SMs {sm_ids[0]}-{sm_ids[-1]}"
-        if r is None:
-            rows.append((label, "no blocks"))
-        else:
-            rows.append(
-                (label,
-                 f"{r.issued_warp_insts:,} insts / {r.wall_cycles:,} cyc")
-            )
-    print(render_table(
-        ["field", "value"], rows,
-        title=f"SM-group simulation — {args.kernel} launch {args.launch}",
     ))
 
 
@@ -488,7 +429,6 @@ def cmd_request(args: argparse.Namespace) -> None:
             "seed": args.seed,
             "engine": args.engine,
             "mem_front_end": args.mem_front_end,
-            "l2_shards": args.l2_shards,
         }
         if args.kind == "simulate":
             params["launch"] = args.launch
@@ -641,12 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mem-stats", action="store_true",
         help="also print memory-hierarchy statistics (L1/L2 hit rates, "
-             "DRAM row-hit rate, mean queue delay, shard balance)",
-    )
-    p.add_argument(
-        "--l2-shards", type=int, default=1, metavar="N",
-        help="organize the L2 as N address-sliced shards (power of two; "
-             "bit-identical to the unified cache, default 1)",
+             "DRAM row-hit rate, mean queue delay)",
     )
     p.add_argument(
         "--block-memo", type=int, default=None, metavar="N",
@@ -655,13 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
              "window).  A pure perf knob: results are bit-identical "
              "for any window; the block-regenerations row shows the "
              "re-synthesis it saves",
-    )
-    p.add_argument(
-        "--sm-groups", type=int, default=1, metavar="N",
-        help="bounded-skew parallel mode: split the SMs into N "
-             "independent groups with relaxed cross-group L2 ordering "
-             "and report the IPC skew vs the exact serial engine "
-             "(default 1 = exact serial)",
     )
 
     p = sub.add_parser("cache", help="persistent profile-cache maintenance")
@@ -768,7 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mem-front-end", choices=list(MEMORY_FRONT_ENDS), default="fast",
     )
-    p.add_argument("--l2-shards", type=int, default=1, metavar="N")
     p.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="per-request deadline while queued server-side (the "

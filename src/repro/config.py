@@ -42,13 +42,6 @@ class GPUConfig:
         Per-SM L1 data cache capacity (KiB) and line size (bytes).
     l2_kib / l2_line:
         Shared L2 capacity (KiB) and line size (bytes).
-    l2_shards:
-        Number of per-address-slice L2 banks (power of two).  1 (the
-        default) keeps the single unified cache object; >1 partitions
-        L2 state into :class:`~repro.sim.caches.ShardedL2` banks —
-        bit-identical in hits/misses/LRU order to the unified cache
-        (global-LRU coordination; property-tested), the partitioning
-        the SM-group parallel mode probes per-shard state through.
     l1_latency / l2_latency / dram_latency:
         Load-to-use latencies in cycles for an L1 hit, L2 hit and DRAM
         row-buffer hit respectively (before queueing delays).
@@ -79,7 +72,6 @@ class GPUConfig:
     l1_line: int = 128
     l2_kib: int = 768
     l2_line: int = 128
-    l2_shards: int = 1
     l1_latency: int = 28
     l2_latency: int = 120
     dram_latency: int = 220
@@ -102,8 +94,6 @@ class GPUConfig:
             line = getattr(self, name)
             if line & (line - 1):
                 raise ValueError(f"{name} must be a power of two")
-        if self.l2_shards <= 0 or self.l2_shards & (self.l2_shards - 1):
-            raise ValueError("l2_shards must be a positive power of two")
         if self.scheduler not in ("oldest", "lrr"):
             raise ValueError("scheduler must be 'oldest' or 'lrr'")
 

@@ -121,7 +121,7 @@ class JobRunner:
         return kernel, lock, False
 
     def checkout_engine(self, norm: dict) -> tuple[GPUSimulator, bool]:
-        gpu = GPUConfig(l2_shards=norm["l2_shards"])
+        gpu = GPUConfig()
         key = simulator_key(gpu, norm["engine"], norm["mem_front_end"])
         with self._engines_lock:
             idle = self._idle_engines.get(key)
@@ -133,7 +133,6 @@ class JobRunner:
         with self._engines_lock:
             self._engines_built.append(
                 f"{norm['engine']}/{norm['mem_front_end']}"
-                f"/l2_shards={norm['l2_shards']}"
             )
         return sim, False
 

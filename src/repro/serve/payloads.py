@@ -88,7 +88,7 @@ def normalize_request(kind: str, params: dict) -> dict:
     _require(kind in COMPUTE_KINDS, f"unknown compute kind {kind!r}")
     _require(isinstance(params, dict), "params must be an object")
     known = {"kernel", "scale", "seed", "launch", "engine",
-             "mem_front_end", "l2_shards", "timeout"}
+             "mem_front_end", "timeout"}
     unknown = set(params) - known
     _require(not unknown, f"unknown request parameters: {sorted(unknown)}")
 
@@ -99,7 +99,6 @@ def normalize_request(kind: str, params: dict) -> dict:
         scale = float(params.get("scale", 0.125))
         seed = int(params.get("seed", 2014))
         launch = int(params.get("launch", 0))
-        l2_shards = int(params.get("l2_shards", 1))
     except (TypeError, ValueError) as exc:
         raise RequestError(f"malformed numeric parameter: {exc}") from exc
     _require(0 < scale <= 1, "scale must be in (0, 1]")
@@ -111,10 +110,6 @@ def normalize_request(kind: str, params: dict) -> dict:
     _require(mem_front_end in MEMORY_FRONT_ENDS,
              f"unknown mem_front_end {mem_front_end!r}; "
              f"choose from {tuple(MEMORY_FRONT_ENDS)}")
-    try:
-        GPUConfig(l2_shards=l2_shards)
-    except ValueError as exc:
-        raise RequestError(str(exc)) from exc
     norm = {
         "kind": kind,
         "kernel": kernel,
@@ -122,7 +117,6 @@ def normalize_request(kind: str, params: dict) -> dict:
         "seed": seed,
         "engine": engine,
         "mem_front_end": mem_front_end,
-        "l2_shards": l2_shards,
     }
     if kind == "simulate":
         norm["launch"] = launch
@@ -138,10 +132,6 @@ def request_key(norm: dict) -> str:
     parameter, salted with the payload schema version."""
     ident = tuple(sorted(norm.items())) + (("results", RESULTS_VERSION),)
     return sweep_key("serve", ident)
-
-
-def gpu_config(norm: dict) -> GPUConfig:
-    return GPUConfig(l2_shards=norm["l2_shards"])
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +192,7 @@ def direct_payload(norm: dict) -> dict:
     match the cold run's thrash).
     """
     kernel = get_workload(norm["kernel"], scale=norm["scale"], seed=norm["seed"])
-    gpu = gpu_config(norm)
+    gpu = GPUConfig()
     simulator = GPUSimulator(
         gpu, engine=norm["engine"], mem_front_end=norm["mem_front_end"]
     )
@@ -240,7 +230,6 @@ __all__ = [
     "RESULTS_VERSION",
     "RequestError",
     "direct_payload",
-    "gpu_config",
     "normalize_request",
     "payloads_equal",
     "request_key",

@@ -33,7 +33,7 @@ import socket
 import struct
 
 #: Protocol/framing version, embedded in ``ping``/``stats`` responses.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one message; guards the server against garbage
 #: prefixes from a misbehaving peer, not a real payload limit.

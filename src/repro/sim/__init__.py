@@ -7,44 +7,31 @@ instructions traverse per-SM L1s, a shared L2 and banked DRAM with
 open-row and queueing behaviour, which produces the *variable* stall
 latencies the paper's model calls ``M``.
 
-The memory subsystem has three front ends: the batched fast path
-(``MemoryHierarchy``, the default), the per-transaction reference
+The memory subsystem has two front ends: the batched fast path
+(``MemoryHierarchy``, the default) and the per-transaction reference
 implementation (``ReferenceMemoryHierarchy``) kept as the equivalence
-oracle, and the array-backed ``VectorMemoryHierarchy`` (ring-log LRU
-caches, flat DRAM bank state, vectorized large-batch miss drains) —
-all produce bit-identical timing, cache/DRAM state and statistics
-(property-tested in ``tests/test_sim_memory_fastpath.py``).  Select
-one via ``make_memory(config, front_end)`` or
+oracle.  Both produce bit-identical timing, cache/DRAM state and
+statistics (property-tested in ``tests/test_sim_memory_fastpath.py``).
+Select one via ``make_memory(config, front_end)`` or
 ``GPUSimulator(..., mem_front_end=...)``.
 
 The simulator exposes the hooks TBPoint's intra-launch sampling needs:
 a dispatch-time skip decision and sampling-unit tracking where a unit is
 the lifetime of a *specified* thread block (Section IV-B2).
 
-Two orthogonal parallelization layers (DESIGN.md §12): the L2 can be
-organized as per-address-slice shards (``GPUConfig.l2_shards`` /
-``ShardedL2`` — bit-identical to the unified cache under every front
-end), and a launch can be simulated across independent SM groups with
-relaxed cross-group L2 ordering (``simulate_sm_groups`` — approximate,
-with the IPC skew against the exact serial engine measured by default
-and gateable, never silent).  Launch-*level* parallelism lives in the
-execution engine and stays exact.
+Parallelism is launch-level only: the execution engine fans
+representative launches out to worker processes, each keeping one warm
+simulator (``repro.sim.worker``), and results stay exact.  Splitting
+one launch across a sharded L2 or SM groups was measured and rejected
+(DESIGN.md §12).
 """
 
-from repro.sim.caches import (
-    L2_ORGANIZATIONS,
-    ArrayLRUCache,
-    DictLRUCache,
-    LRUCache,
-    ShardedL2,
-    make_l2,
-)
-from repro.sim.dram import ArrayDRAMModel, DRAMModel
+from repro.sim.caches import LRUCache
+from repro.sim.dram import DRAMModel
 from repro.sim.memory import (
     MEMORY_FRONT_ENDS,
     MemoryHierarchy,
     ReferenceMemoryHierarchy,
-    VectorMemoryHierarchy,
     make_memory,
 )
 from repro.sim.gpu import (
@@ -54,26 +41,13 @@ from repro.sim.gpu import (
     SimCounters,
     UnitRecord,
 )
-from repro.sim.parallel import (
-    SMGroupRun,
-    group_config,
-    plan_sm_groups,
-    simulate_sm_groups,
-)
 from repro.sim.worker import get_simulator, init_worker
 
 __all__ = [
     "LRUCache",
-    "DictLRUCache",
-    "ArrayLRUCache",
-    "ShardedL2",
-    "L2_ORGANIZATIONS",
-    "make_l2",
     "DRAMModel",
-    "ArrayDRAMModel",
     "MemoryHierarchy",
     "ReferenceMemoryHierarchy",
-    "VectorMemoryHierarchy",
     "MEMORY_FRONT_ENDS",
     "make_memory",
     "GPUSimulator",
@@ -81,10 +55,6 @@ __all__ = [
     "SimCounters",
     "FixedUnitRecorder",
     "UnitRecord",
-    "SMGroupRun",
-    "simulate_sm_groups",
-    "plan_sm_groups",
-    "group_config",
     "init_worker",
     "get_simulator",
 ]

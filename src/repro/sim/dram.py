@@ -11,17 +11,7 @@ fidelity the sampling study needs.
 
 from __future__ import annotations
 
-from array import array
-
-import numpy as np
-
 from repro.config import GPUConfig
-
-#: LCG multiplier/increment of the jitter stream (glibc ``rand`` family;
-#: the modulus is 2**31 via the ``& 0x7FFFFFFF`` masks below).
-_LCG_A = 1103515245
-_LCG_C = 12345
-_LCG_MASK = 0x7FFFFFFF
 
 
 class DRAMModel:
@@ -201,180 +191,4 @@ class DRAMModel:
             self.total_queue_cycles = 0
 
 
-def _pow2_at_least(n: int) -> int:
-    r = 1
-    while r < n:
-        r <<= 1
-    return r
-
-
-class ArrayDRAMModel(DRAMModel):
-    """DRAM model with bank state in preallocated flat arrays and a
-    vectorized batch drain.
-
-    Behaviourally identical to :class:`DRAMModel` (same ``access`` /
-    ``access_n`` contract, bit-identical timing, statistics and jitter
-    stream — property-tested in ``tests/test_sim_dram.py`` and
-    ``tests/test_sim_memory_fastpath.py``), with two representation
-    changes:
-
-    * ``open_row`` / ``free_at`` live in ``array('q')`` buffers with
-      zero-copy NumPy views (``_open_np`` / ``_free_np``): scalar
-      indexing stays as cheap as a list, and whole-state vector reads
-      and resets are single NumPy ops.  Flat buffers are also what a
-      cross-process shared memory mapping needs (ROADMAP item 2).
-    * ``access_n`` drains batches of at least ``vector_threshold``
-      requests through :meth:`_access_n_vector`: banks are grouped with
-      one stable argsort, per-bank start times follow from the closed
-      form ``start_k = max(free, now) + k * service`` (bank occupancy
-      only grows within a batch), row hits are one shifted compare, and
-      the per-request jitter comes from the LCG's closed form
-      ``s_j = (A^j s_0 + c_j) mod 2^31`` with precomputed power/prefix
-      tables — no per-request Python bytecode at all.
-
-    ``vector_threshold`` is a constructor parameter (not an environment
-    read — the simulator must stay deterministic per DET004): below it
-    the scalar drain of the base class wins, because the vectorized
-    drain pays ~50-65 µs of fixed NumPy dispatch cost per batch
-    (~25 array ops at ~2 µs each on the benchmark host) while the
-    scalar loop handles a request in well under 1 µs (measured
-    crossover near 96 requests; DESIGN.md §11).  ``vector_batches``
-    counts vectorized drains so benchmarks can verify engagement.
-    """
-
-    #: Batch size at which the vectorized drain starts to win over the
-    #: scalar loop (measured on the benchmark host; see DESIGN.md §11).
-    #: Warp-level batches top out at 32 transactions, so with the
-    #: default threshold the vectorized drain only engages for
-    #: super-warp batches (e.g. a sharded L2 draining merged misses);
-    #: per-warp traffic takes the measured-faster scalar loop.
-    VECTOR_THRESHOLD = 96
-
-    __slots__ = (
-        "_free_np", "_open_np", "_a_pows", "_c_sums",
-        "vector_threshold", "vector_batches",
-    )
-
-    def __init__(
-        self, config: GPUConfig, vector_threshold: int | None = None
-    ):
-        super().__init__(config)
-        self.open_row = array("q", [-1]) * self.num_banks
-        self.free_at = array("q", [0]) * self.num_banks
-        self._open_np = np.frombuffer(self.open_row, dtype=np.int64)
-        self._free_np = np.frombuffer(self.free_at, dtype=np.int64)
-        self.vector_threshold = (
-            self.VECTOR_THRESHOLD if vector_threshold is None
-            else vector_threshold
-        )
-        self.vector_batches = 0
-        self._a_pows = np.empty(0, dtype=np.int64)
-        self._c_sums = np.empty(0, dtype=np.int64)
-        self._grow_lcg_tables(64)
-
-    def _grow_lcg_tables(self, n: int) -> None:
-        """Precompute ``A^j mod 2^31`` and the additive prefix ``c_j``
-        (``c_0 = 0``, ``c_{j+1} = (A c_j + C) mod 2^31``) for
-        ``j = 0..size-1`` so a batch's whole jitter stream is two
-        vector ops from the current seed."""
-        size = _pow2_at_least(n + 1)
-        a_pows = np.empty(size, dtype=np.int64)
-        c_sums = np.empty(size, dtype=np.int64)
-        ap = 1
-        cs = 0
-        for j in range(size):
-            a_pows[j] = ap
-            c_sums[j] = cs
-            ap = (ap * _LCG_A) & _LCG_MASK
-            cs = (cs * _LCG_A + _LCG_C) & _LCG_MASK
-        self._a_pows = a_pows
-        self._c_sums = c_sums
-
-    def access_n(self, addrs, now: int) -> int:
-        """Batch drain: scalar loop below ``vector_threshold`` (where
-        NumPy dispatch overhead dominates), vectorized at or above it."""
-        if len(addrs) < self.vector_threshold:
-            return DRAMModel.access_n(self, addrs, now)
-        return self._access_n_vector(addrs, now)
-
-    def _access_n_vector(self, addrs, now: int) -> int:
-        """Vectorized, order-exact equivalent of the scalar drain.
-
-        Why the closed forms hold for sequential issue semantics:
-
-        * Within one batch a bank's ``free_at`` only moves forward, so
-          for the ``k``-th request of the batch hitting bank ``b``
-          (in issue order): the first starts at
-          ``max(free_at[b], now)`` and each later one exactly
-          ``service`` after its predecessor.
-        * A request row-hits iff its row equals the *previous* request
-          to the same bank within the batch (or the bank's open row for
-          the first) — a shifted compare after a stable sort by bank.
-        * The jitter LCG advances once per request in issue order; its
-          ``j``-th state is ``(A^j s_0 + c_j) mod 2^31``, safe in int64
-          because both factors are below ``2^31``.
-        """
-        n = len(addrs)
-        if n == 0:
-            return 0
-        a = np.asarray(addrs, dtype=np.int64)
-        lines = a >> self.line_shift
-        mask = self.bank_mask
-        banks = lines & mask if mask else lines % self.num_banks
-        rows = a >> self.row_shift
-        order = np.argsort(banks, kind="stable")
-        b_sorted = banks[order]
-        r_sorted = rows[order]
-        is_first = np.empty(n, dtype=bool)
-        is_first[0] = True
-        np.not_equal(b_sorted[1:], b_sorted[:-1], out=is_first[1:])
-        group_start = np.flatnonzero(is_first)
-        counts = np.diff(np.append(group_start, n))
-        group_banks = b_sorted[group_start]
-        first_start = np.maximum(self._free_np[group_banks], now)
-        rank = np.arange(n, dtype=np.int64) - np.repeat(group_start, counts)
-        starts = np.repeat(first_start, counts) + rank * self.service
-        prev_rows = np.empty(n, dtype=np.int64)
-        prev_rows[1:] = r_sorted[:-1]
-        prev_rows[group_start] = self._open_np[group_banks]
-        row_hit = prev_rows == r_sorted
-        latency = np.where(
-            row_hit,
-            self.base_latency,
-            self.base_latency + self.row_miss_penalty,
-        )
-        jitter = self.jitter
-        if jitter:
-            if n >= len(self._a_pows):
-                self._grow_lcg_tables(n)
-            states = (
-                self._a_pows[1 : n + 1] * self._jitter_state
-                + self._c_sums[1 : n + 1]
-            ) & _LCG_MASK
-            self._jitter_state = int(states[-1])
-            latency = latency + ((states[order] >> 16) % jitter)
-        done = starts + latency
-        # State write-back: per bank, the final free time and the last
-        # row issued (the batch's last request to that bank).
-        self._free_np[group_banks] = first_start + counts * self.service
-        self._open_np[group_banks] = r_sorted[group_start + counts - 1]
-        self.requests += n
-        self.row_hits += int(row_hit.sum())
-        self.total_queue_cycles += int(starts.sum()) - n * now
-        self.vector_batches += 1
-        return int(done.max())
-
-    def reset(self, keep_stats: bool = False) -> None:
-        """Close all rows and clear bank timing — in place on the flat
-        buffers (the vector front end aliases them)."""
-        self._open_np.fill(-1)
-        self._free_np.fill(0)
-        self._jitter_state = 1
-        if not keep_stats:
-            self.requests = 0
-            self.row_hits = 0
-            self.total_queue_cycles = 0
-            self.vector_batches = 0
-
-
-__all__ = ["DRAMModel", "ArrayDRAMModel"]
+__all__ = ["DRAMModel"]

@@ -291,7 +291,7 @@ class TestWarmWorkerSimulator:
         worker.init_worker(GPU)
         warm = worker.get_simulator(GPU)
         assert worker.get_simulator(GPU, engine="reference") is not warm
-        assert worker.get_simulator(GPU, mem_front_end="vector") is not warm
+        assert worker.get_simulator(GPU, mem_front_end="reference") is not warm
 
     def test_registry_keeps_multiple_triples_resident(self):
         """PR 9: long-lived serve workers alternate between request

@@ -35,6 +35,7 @@ from repro.serve import (
 )
 from repro.serve.protocol import (
     MAX_MESSAGE_BYTES,
+    PROTOCOL_VERSION,
     ProtocolError,
     decode_payload,
     encode_message,
@@ -148,7 +149,6 @@ class TestNormalization:
         assert norm["launch"] == 0
         assert norm["engine"] == "compact"
         assert norm["mem_front_end"] == "fast"
-        assert norm["l2_shards"] == 1
 
     def test_equivalent_requests_share_a_key(self):
         a = normalize_request("simulate", {"kernel": KERNEL, "scale": 0.125})
@@ -164,7 +164,6 @@ class TestNormalization:
             {"launch": 1},
             {"engine": "reference"},
             {"mem_front_end": "reference"},
-            {"l2_shards": 2},
         ]
         keys = {
             request_key(normalize_request("simulate", {**base, **v}))
@@ -185,7 +184,10 @@ class TestNormalization:
         {"kernel": KERNEL, "launch": -1},
         {"kernel": KERNEL, "engine": "quantum"},
         {"kernel": KERNEL, "mem_front_end": "imaginary"},
-        {"kernel": KERNEL, "l2_shards": 3},
+        # Removed in protocol 2: requests that still send them fail
+        # loudly instead of silently running a different simulation.
+        {"kernel": KERNEL, "mem_front_end": "vector"},
+        {"kernel": KERNEL, "l2_shards": 2},
         {"kernel": KERNEL, "surprise": 1},
         {},
     ])
@@ -318,8 +320,8 @@ class TestConcurrentIdempotency:
         with the journal on, each content key simulates exactly once,
         every response for a key is bit-identical, and the drain is
         clean with clients still connected."""
-        distinct = [sim_params(), sim_params(seed=7), sim_params(launch=0,
-                    l2_shards=2)]
+        distinct = [sim_params(), sim_params(seed=7),
+                    sim_params(mem_front_end="reference")]
         threads_per_request = 4
         repeats = 3
         results: dict[int, list[dict]] = {i: [] for i in range(len(distinct))}
@@ -469,7 +471,7 @@ class TestLifecycle:
             host, port = handle.address
             wait_for_server(host=host, port=port)
             with ServeClient(host=host, port=port) as client:
-                assert client.ping()["protocol"] == 1
+                assert client.ping()["protocol"] == PROTOCOL_VERSION
                 payload = client.simulate(KERNEL, scale=SCALE)
         direct = direct_payload(normalize_request("simulate", sim_params()))
         assert payloads_equal(payload, direct)
@@ -479,7 +481,7 @@ class TestLifecycle:
             with ServeClient(handle.socket_path) as client:
                 with pytest.raises(ServeError, match="unknown"):
                     client.call("simulate", {"kernel": "bogus"})
-                assert client.ping()["protocol"] == 1
+                assert client.ping()["protocol"] == PROTOCOL_VERSION
 
     def test_garbage_frame_drops_connection_not_server(self, serve_dir):
         with start_server(serve_dir) as handle:
@@ -488,7 +490,7 @@ class TestLifecycle:
             raw.sendall(b"\xff\xff\xff\xff garbage")
             raw.close()
             with ServeClient(handle.socket_path) as client:
-                assert client.ping()["protocol"] == 1
+                assert client.ping()["protocol"] == PROTOCOL_VERSION
 
 
 def start_tcp_server(tmp_path, **overrides) -> ServerThread:

@@ -1,195 +1,187 @@
 """Tests for the LRU cache model."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.caches import ArrayLRUCache, DictLRUCache, LRUCache
+from repro.sim.caches import LRUCache
 
 
-@pytest.fixture(
-    params=[LRUCache, DictLRUCache, ArrayLRUCache],
-    ids=["ordered", "dict", "array"],
-)
-def Cache(request):
-    """All LRU implementations must satisfy the same contract: the
-    plain-dict variant is the measured-and-rejected alternative kept as
-    documentation (see caches.py docstring and DESIGN.md §8), and the
-    ring-log array variant backs the vector front end (DESIGN.md §11)."""
-    return request.param
+#: Line sizes in bytes.  The L1 and L2 of a configuration may use
+#: different line sizes, so the cache contract must hold at any power
+#: of two, not just the 128-byte default: every address in
+#: :class:`TestLRUCache` is written in units of ``line``.
+LINE_SIZES = [32, 128, 1024]
 
 
+def _model_access(model: list, line_addr: int, num_lines: int) -> bool:
+    """An independent list-backed LRU (LRU first, MRU last): the
+    oracle the OrderedDict cache is held to."""
+    if line_addr in model:
+        model.remove(line_addr)
+        model.append(line_addr)
+        return True
+    model.append(line_addr)
+    if len(model) > num_lines:
+        model.pop(0)
+    return False
+
+
+@pytest.mark.parametrize("line", LINE_SIZES, ids=lambda n: f"line{n}")
 class TestLRUCache:
-    def test_first_access_misses_second_hits(self, Cache):
-        c = Cache(1024, 128)
+    def test_first_access_misses_second_hits(self, line):
+        c = LRUCache(8 * line, line)
         assert not c.access(0)
         assert c.access(0)
-        assert c.access(64)  # same 128-byte line
-        assert c.hits == 2 and c.misses == 1
+        assert c.access(line // 2)  # same line
+        assert c.access(line - 1)   # last byte of the same line
+        assert c.hits == 3 and c.misses == 1
 
-    def test_distinct_lines(self, Cache):
-        c = Cache(1024, 128)
+    def test_distinct_lines(self, line):
+        c = LRUCache(8 * line, line)
         c.access(0)
-        assert not c.access(128)
+        assert not c.access(line)
 
-    def test_capacity_eviction_lru_order(self, Cache):
-        c = Cache(4 * 128, 128)  # 4 lines
+    def test_capacity_eviction_lru_order(self, line):
+        c = LRUCache(4 * line, line)  # 4 lines
         for i in range(4):
-            c.access(i * 128)
+            c.access(i * line)
         c.access(0)  # touch line 0 -> MRU
-        c.access(4 * 128)  # evicts line 1 (LRU)
+        c.access(4 * line)  # evicts line 1 (LRU)
         assert c.access(0)  # still resident
-        assert not c.access(1 * 128)  # evicted
+        assert not c.access(1 * line)  # evicted
 
-    def test_occupancy_bounded(self, Cache):
-        c = Cache(8 * 128, 128)
+    def test_occupancy_bounded(self, line):
+        c = LRUCache(8 * line, line)
         for i in range(100):
-            c.access(i * 128)
+            c.access(i * line)
         assert c.occupancy == 8
 
-    def test_contains_does_not_mutate(self, Cache):
-        c = Cache(1024, 128)
+    def test_contains_does_not_mutate(self, line):
+        c = LRUCache(8 * line, line)
         assert not c.contains(0)
         assert c.misses == 0
         c.access(0)
         assert c.contains(0)
         assert c.hits == 0 and c.misses == 1
 
-    def test_reset(self, Cache):
-        c = Cache(1024, 128)
+    def test_reset(self, line):
+        c = LRUCache(8 * line, line)
         c.access(0)
         c.reset()
         assert c.occupancy == 0
         assert c.hits == 0 and c.misses == 0
         assert not c.access(0)
 
-    def test_reset_keep_stats(self, Cache):
-        c = Cache(1024, 128)
+    def test_reset_keep_stats(self, line):
+        c = LRUCache(8 * line, line)
         c.access(0)
         c.access(0)
         c.reset(keep_stats=True)
         assert c.hits == 1 and c.misses == 1
         assert not c.access(0)  # line gone
 
-    def test_hit_rate(self, Cache):
-        c = Cache(1024, 128)
+    def test_hit_rate(self, line):
+        c = LRUCache(8 * line, line)
         assert c.hit_rate == 0.0
         c.access(0)
         c.access(0)
         assert c.hit_rate == pytest.approx(0.5)
 
-    def test_rejects_bad_line_size(self, Cache):
+    def test_rejects_bad_line_size(self, line):
         with pytest.raises(ValueError):
-            Cache(1024, 100)
+            LRUCache(8 * line, line + line // 2)  # not a power of two
         with pytest.raises(ValueError):
-            Cache(64, 128)
+            LRUCache(line // 2, line)  # capacity below one line
 
-    @settings(
-        max_examples=25, deadline=None,
-        # ``Cache`` is a class, not mutable state: safe across examples.
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(max_examples=25, deadline=None)
     @given(
         addrs=st.lists(st.integers(0, 1 << 20), min_size=1, max_size=300),
         lines=st.integers(1, 16),
     )
-    def test_occupancy_never_exceeds_capacity(self, Cache, addrs, lines):
-        c = Cache(lines * 128, 128)
+    def test_occupancy_never_exceeds_capacity(self, line, addrs, lines):
+        c = LRUCache(lines * line, line)
         for a in addrs:
             c.access(a)
         assert c.occupancy <= lines
         assert c.hits + c.misses == len(addrs)
 
-    @settings(
-        max_examples=25, deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(max_examples=25, deadline=None)
     @given(addrs=st.lists(st.integers(0, 1 << 14), min_size=1, max_size=100))
-    def test_infinite_capacity_only_compulsory_misses(self, Cache, addrs):
-        c = Cache(1 << 22, 128)  # larger than the address space used
+    def test_infinite_capacity_only_compulsory_misses(self, line, addrs):
+        c = LRUCache(1 << 22, line)  # larger than the address space used
         for a in addrs:
             c.access(a)
-        distinct_lines = len({a >> 7 for a in addrs})
+        shift = line.bit_length() - 1
+        distinct_lines = len({a >> shift for a in addrs})
         assert c.misses == distinct_lines
 
-
-class TestArrayLRUCacheRing:
-    """Ring-log specifics of :class:`ArrayLRUCache`: compaction under
-    hit streaks, the vectorized membership probe, and eviction-order
-    equivalence with the OrderedDict implementation."""
-
     @settings(max_examples=40, deadline=None)
-    @given(addrs=st.lists(st.integers(0, 1 << 14), min_size=1, max_size=400))
-    def test_bit_identical_to_ordered_on_random_streams(self, addrs):
-        a = LRUCache(8 * 128, 128)
-        b = ArrayLRUCache(8 * 128, 128)
+    @given(
+        addrs=st.lists(st.integers(0, 1 << 14), min_size=1, max_size=400),
+        lines=st.integers(1, 12),
+    )
+    def test_matches_list_model_on_random_streams(self, line, addrs, lines):
+        # Hit/miss outcome, eviction order and statistics against an
+        # independent list-backed LRU on arbitrary streams.
+        c = LRUCache(lines * line, line)
+        model: list = []
+        shift = line.bit_length() - 1
+        model_hits = 0
         for addr in addrs:
-            assert a.access(addr) == b.access(addr)
-        assert a.lru_lines() == b.lru_lines()
-        assert (a.hits, a.misses, a.occupancy) == (
-            b.hits, b.misses, b.occupancy
-        )
+            hit = _model_access(model, addr >> shift, lines)
+            assert c.access(addr) == hit
+            model_hits += hit
+        assert c.lru_lines() == model
+        assert (c.hits, c.misses) == (model_hits, len(addrs) - model_hits)
 
-    def test_hit_streak_forces_compaction(self):
-        # Hits append log entries without consuming them, so a long
-        # enough streak must wrap the ring and compact; the observable
-        # LRU state must be unchanged by compaction.
-        a = LRUCache(2 * 128, 128)
-        b = ArrayLRUCache(2 * 128, 128)
-        for i in range(10 * b._ring_size):
-            addr = (i % 2) * 128
-            assert a.access(addr) == b.access(addr)
-        assert b.compactions > 0
-        assert a.lru_lines() == b.lru_lines()
-        assert (a.hits, a.misses) == (b.hits, b.misses)
+    def test_hit_streak_keeps_lru_order(self, line):
+        # A long streak of hits alternating between two resident lines
+        # only ever swaps their recency; nothing is evicted or refilled.
+        c = LRUCache(2 * line, line)
+        for i in range(2000):
+            hit = c.access((i % 2) * line)
+            assert hit == (i >= 2)
+        assert c.lru_lines() == [0, 1]
+        assert (c.hits, c.misses) == (1998, 2)
 
-    def test_eviction_skips_stale_log_entries(self):
-        c = ArrayLRUCache(2 * 128, 128)
-        c.access(0)        # line 0 at log 0
-        c.access(128)      # line 1 at log 1
-        c.access(0)        # line 0 refreshed at log 2 (log 0 now stale)
-        c.access(256)      # full: must evict line 1, not line 0
+    def test_refreshed_line_survives_eviction(self, line):
+        c = LRUCache(2 * line, line)
+        c.access(0)         # line 0
+        c.access(line)      # line 1
+        c.access(0)         # line 0 refreshed: line 1 is now LRU
+        c.access(2 * line)  # full: must evict line 1, not line 0
         assert c.contains(0)
-        assert not c.contains(128)
-        assert c.contains(256)
+        assert not c.contains(line)
+        assert c.contains(2 * line)
         assert c.lru_lines() == [0, 2]
 
-    def test_probe_lines_matches_contains_and_does_not_mutate(self):
-        import numpy as np
-
-        c = ArrayLRUCache(4 * 128, 128)
-        for addr in (0, 128, 384, 0, 640):
-            c.access(addr)
-        hits_before, misses_before = c.hits, c.misses
-        compactions_before = c.compactions
-        ht_before = list(c._ht)
-        order_before = c.lru_lines()
-        lines = np.array([0, 1, 2, 3, 4, 5], dtype=np.int64)
-        got = c.probe_lines(lines)
-        want = [c.contains(line * 128) for line in lines.tolist()]
-        assert got.tolist() == want
-        assert (c.hits, c.misses) == (hits_before, misses_before)
-        assert c.compactions == compactions_before
-        assert c._ht == ht_before
-        assert c.lru_lines() == order_before
-
-    def test_reset_mutates_state_in_place(self):
-        # The vector front end aliases ``_pos``/``_ht``; reset must
-        # clear them in place, never rebind.
-        c = ArrayLRUCache(4 * 128, 128)
-        pos, ht = c._pos, c._ht
-        for addr in range(0, 1024, 128):
-            c.access(addr)
-        c.reset()
-        assert c._pos is pos and c._ht is ht
-        assert not pos and ht == [0, 0]
-        assert not c.access(0)  # miss again after reset
-
-    def test_compact_mutates_index_in_place(self):
-        c = ArrayLRUCache(2 * 128, 128)
-        pos, ht = c._pos, c._ht
+    def test_contains_does_not_refresh_recency(self, line):
+        c = LRUCache(2 * line, line)
         c.access(0)
-        c.access(128)
-        c._compact()
-        assert c._pos is pos and c._ht is ht
-        assert c.lru_lines() == [0, 1]
+        c.access(line)
+        assert c.contains(0)  # a probe, not a use
+        c.access(2 * line)    # so line 0 is still the one evicted
+        assert not c.contains(0)
+        assert c.lru_lines() == [1, 2]
+
+    def test_lru_lines_are_line_indices_oldest_first(self, line):
+        c = LRUCache(4 * line, line)
+        for addr in (3 * line + 1, line, 5 * line + line - 1, line // 2):
+            c.access(addr)
+        assert c.lru_lines() == [3, 1, 5, 0]
+
+
+def test_reset_clears_lines_in_place():
+    # The fast memory front end holds direct references to ``_lines``
+    # and its bound methods (MemoryHierarchy._flatten); reset must
+    # clear the dict, never rebind it.
+    c = LRUCache(4 * 128, 128)
+    lines = c._lines
+    for addr in range(0, 1024, 128):
+        c.access(addr)
+    c.reset()
+    assert c._lines is lines
+    assert not lines
+    assert not c.access(0)  # miss again after reset
+    assert c._lines is lines
